@@ -353,7 +353,19 @@ impl RicdPipeline {
             let _span = root.child("screen");
             timings.time("screen", || screen_groups(g, detected.groups, params))
         }) {
-            Ok((groups, _stats)) => groups,
+            Ok((groups, stats)) => {
+                self.metrics
+                    .inc_by("screen.users_removed", stats.users_removed as u64);
+                self.metrics.inc_by(
+                    "screen.hot_items_reclassified",
+                    stats.hot_items_reclassified as u64,
+                );
+                self.metrics
+                    .inc_by("screen.items_removed", stats.items_removed as u64);
+                self.metrics
+                    .inc_by("screen.groups_dropped", stats.groups_dropped as u64);
+                groups
+            }
             Err(msg) => {
                 return self.degrade(
                     g,

@@ -26,6 +26,12 @@
 //! detected group's size to avoid the misjudgment of group-buying
 //! phenomenon" — a couple of shoppers re-clicking the same promotion is
 //! risk-control's job, not a crowdsourced campaign).
+//!
+//! **Cost.** Every check is one pass over each group user's adjacency,
+//! tested against a dense item→slot array that marks the group's items, so
+//! a group costs O(Σ deg(u) over its users + |group items|). Per-pair edge
+//! lookups would cost |users| × |items|, and groups get large: hot items
+//! glue every campaign into one detected component.
 
 use crate::params::{RicdParams, ScreeningMode};
 use crate::result::SuspiciousGroup;
@@ -54,26 +60,30 @@ pub fn screen_groups(
     if params.screening == ScreeningMode::None {
         return (groups, stats);
     }
-    // Hot flags once per graph: per-item total-click scans inside the
-    // per-user loops would make screening O(groups x users x deg).
+    // Hot flags and the slot array once per call, so each group costs
+    // O(Σ deg(u) over its users + |group items|).
     let hot: Vec<bool> = g
         .all_item_total_clicks()
         .into_iter()
         .map(|t| t >= params.t_hot)
         .collect();
+    let mut slots = ItemSlots::new(g.num_items());
     let mut out = Vec::with_capacity(groups.len());
     for mut group in groups {
-        user_behavior_check(g, &hot, &mut group, params, &mut stats);
+        user_behavior_check(g, &hot, &mut slots, &mut group, params, &mut stats);
         if params.screening == ScreeningMode::Full {
-            item_behavior_verification(g, &hot, &mut group, params, &mut stats);
-            drop_disconnected_users(g, &mut group, params, &mut stats);
+            item_behavior_verification(g, &hot, &mut slots, &mut group, params, &mut stats);
+            slots.fill(&group.items);
+            drop_disconnected_users(g, &slots, &mut group, params, &mut stats);
             // Distinct seller tasks often share ridden hot items, which glue
             // their structures into one connected component during
             // detection. Once hot items and camouflage are gone, the real
             // group boundary is connectivity through *heavy* edges —
             // re-split so each output group is one attack task (the
             // granularity of the paper's `g = {g₁…gₙ}` and case study).
-            let splits = split_by_heavy_edges(g, &group, params);
+            let mut splits = split_by_heavy_edges(g, &slots, &group, params);
+            slots.clear(&group.items);
+            attribute_ridden_hot_items(g, &mut slots, &group.ridden_hot_items, &mut splits);
             if splits.is_empty() {
                 stats.groups_dropped += 1;
             }
@@ -98,11 +108,43 @@ pub fn screen_groups(
     (out, stats)
 }
 
+/// Dense item → local-index map over the whole item space.
+///
+/// Every entry is `NONE` between uses: [`ItemSlots::fill`] marks a list and
+/// [`ItemSlots::clear`] unmarks the same list, so a reset costs the list's
+/// length, not the item count. A duplicated item maps to its *last* index.
+struct ItemSlots(Vec<u32>);
+
+impl ItemSlots {
+    const NONE: u32 = u32::MAX;
+
+    fn new(num_items: usize) -> Self {
+        Self(vec![Self::NONE; num_items])
+    }
+
+    fn fill(&mut self, items: &[ItemId]) {
+        for (i, &v) in items.iter().enumerate() {
+            self.0[v.index()] = i as u32;
+        }
+    }
+
+    fn clear(&mut self, items: &[ItemId]) {
+        for &v in items {
+            self.0[v.index()] = Self::NONE;
+        }
+    }
+
+    fn get(&self, v: ItemId) -> Option<usize> {
+        let s = self.0[v.index()];
+        (s != Self::NONE).then_some(s as usize)
+    }
+}
+
 /// Splits a screened group into connected components over its heavy
-/// (`clicks ≥ T_click`) user–item edges. Ridden hot items are attributed to
-/// every split whose users clicked them.
+/// (`clicks ≥ T_click`) user–item edges. `slots` holds `group.items`.
 fn split_by_heavy_edges(
     g: &BipartiteGraph,
+    slots: &ItemSlots,
     group: &SuspiciousGroup,
     params: &RicdParams,
 ) -> Vec<SuspiciousGroup> {
@@ -117,54 +159,62 @@ fn split_by_heavy_edges(
         }
         x
     }
-    let item_local: std::collections::HashMap<ItemId, usize> = group
-        .items
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (v, nu + i))
-        .collect();
     for (ui, &u) in group.users.iter().enumerate() {
         for (v, c) in g.user_neighbors(u) {
             if c >= params.t_click {
-                if let Some(&vi) = item_local.get(&v) {
-                    let (a, b) = (find(&mut parent, ui), find(&mut parent, vi));
+                if let Some(vi) = slots.get(v) {
+                    let (a, b) = (find(&mut parent, ui), find(&mut parent, nu + vi));
                     parent[a] = b;
                 }
             }
         }
     }
-    let mut splits: std::collections::HashMap<usize, SuspiciousGroup> =
-        std::collections::HashMap::new();
-    for (ui, &u) in group.users.iter().enumerate() {
-        splits
-            .entry(find(&mut parent, ui))
-            .or_default()
-            .users
-            .push(u);
+    let mut split_of = vec![usize::MAX; n];
+    let mut out: Vec<SuspiciousGroup> = Vec::new();
+    for x in 0..n {
+        let root = find(&mut parent, x);
+        if split_of[root] == usize::MAX {
+            split_of[root] = out.len();
+            out.push(SuspiciousGroup::default());
+        }
+        let split = &mut out[split_of[root]];
+        if x < nu {
+            split.users.push(group.users[x]);
+        } else {
+            split.items.push(group.items[x - nu]);
+        }
     }
-    for (ii, &v) in group.items.iter().enumerate() {
-        splits
-            .entry(find(&mut parent, nu + ii))
-            .or_default()
-            .items
-            .push(v);
-    }
-    let mut out: Vec<SuspiciousGroup> = splits.into_values().collect();
     // Deterministic order: by first user id.
     out.sort_by_key(|s| (s.users.first().copied(), s.items.first().copied()));
-    for s in &mut out {
-        // Attribute each ridden hot item to the splits whose users touch it.
-        s.ridden_hot_items = group
-            .ridden_hot_items
-            .iter()
-            .copied()
-            .filter(|&h| s.users.iter().any(|&u| g.clicks(u, h).is_some()))
-            .collect();
-    }
     out
 }
 
-/// True if `u` exhibits the crowd-worker click signature.
+/// Attributes each ridden hot item to the splits whose users clicked it.
+/// `ridden` is sorted and deduplicated, so sorting each split's list puts
+/// it in `ridden` order.
+fn attribute_ridden_hot_items(
+    g: &BipartiteGraph,
+    slots: &mut ItemSlots,
+    ridden: &[ItemId],
+    splits: &mut [SuspiciousGroup],
+) {
+    slots.fill(ridden);
+    for split in splits.iter_mut() {
+        split.ridden_hot_items = split
+            .users
+            .iter()
+            .flat_map(|&u| g.user_adjacency(u))
+            .copied()
+            .filter(|&v| slots.get(v).is_some())
+            .collect();
+        split.ridden_hot_items.sort_unstable();
+        split.ridden_hot_items.dedup();
+    }
+    slots.clear(ridden);
+}
+
+/// True if `u` exhibits the crowd-worker click signature; `slots` holds the
+/// group's items.
 ///
 /// Characteristic (1) is checked *within the group* — some ordinary group
 /// item carries ≥ `T_click` of `u`'s clicks. Characteristic (2) — "the
@@ -176,88 +226,97 @@ fn split_by_heavy_edges(
 fn user_is_suspicious(
     g: &BipartiteGraph,
     hot: &[bool],
+    slots: &ItemSlots,
     u: UserId,
-    group_items: &[ItemId],
     params: &RicdParams,
 ) -> bool {
-    let has_heavy_ordinary = group_items
-        .iter()
-        .any(|&v| !hot[v.index()] && g.clicks(u, v).is_some_and(|c| c >= params.t_click));
-    if !has_heavy_ordinary {
-        return false;
-    }
+    let mut has_heavy_ordinary = false;
     let mut hot_clicks = 0u64;
     let mut hot_count = 0u64;
     for (v, c) in g.user_neighbors(u) {
         if hot[v.index()] {
             hot_clicks += c as u64;
             hot_count += 1;
+        } else if c >= params.t_click && slots.get(v).is_some() {
+            has_heavy_ordinary = true;
         }
     }
     // Characteristic (2): hot items, if clicked at all, are clicked lightly.
-    hot_count == 0 || (hot_clicks as f64 / hot_count as f64) < params.hot_avg_max
+    has_heavy_ordinary
+        && (hot_count == 0 || (hot_clicks as f64 / hot_count as f64) < params.hot_avg_max)
 }
 
 fn user_behavior_check(
     g: &BipartiteGraph,
     hot: &[bool],
+    slots: &mut ItemSlots,
     group: &mut SuspiciousGroup,
     params: &RicdParams,
     stats: &mut ScreeningStats,
 ) {
-    let items = group.items.clone();
     let before = group.users.len();
+    slots.fill(&group.items);
     group
         .users
-        .retain(|&u| user_is_suspicious(g, hot, u, &items, params));
+        .retain(|&u| user_is_suspicious(g, hot, slots, u, params));
+    slots.clear(&group.items);
     stats.users_removed += before - group.users.len();
 }
 
 fn item_behavior_verification(
     g: &BipartiteGraph,
     hot: &[bool],
+    slots: &mut ItemSlots,
     group: &mut SuspiciousGroup,
     params: &RicdParams,
     stats: &mut ScreeningStats,
 ) {
-    let users = group.users.clone();
+    // Coincidence of heavy clickers: how many of the group's surviving
+    // (abnormal) users hammer each item?
+    slots.fill(&group.items);
+    let mut support = vec![0usize; group.items.len()];
+    for &u in &group.users {
+        for (v, c) in g.user_neighbors(u) {
+            if c >= params.t_click {
+                if let Some(s) = slots.get(v) {
+                    support[s] += 1;
+                }
+            }
+        }
+    }
     let mut kept = Vec::with_capacity(group.items.len());
     for &v in &group.items {
         if hot[v.index()] {
             group.ridden_hot_items.push(v);
             stats.hot_items_reclassified += 1;
-            continue;
-        }
-        // Coincidence of heavy clickers: how many of the group's surviving
-        // (abnormal) users hammer this item?
-        let support = users
-            .iter()
-            .filter(|&&u| g.clicks(u, v).is_some_and(|c| c >= params.t_click))
-            .count();
-        if support >= params.min_target_support {
+        } else if slots
+            .get(v)
+            .is_some_and(|s| support[s] >= params.min_target_support)
+        {
             kept.push(v);
         } else {
             stats.items_removed += 1;
         }
     }
+    slots.clear(&group.items);
     group.items = kept;
     group.ridden_hot_items.sort_unstable();
     group.ridden_hot_items.dedup();
 }
 
 /// A user whose heavy edges all pointed at removed items no longer belongs.
+/// `slots` holds the group's surviving items.
 fn drop_disconnected_users(
     g: &BipartiteGraph,
+    slots: &ItemSlots,
     group: &mut SuspiciousGroup,
     params: &RicdParams,
     stats: &mut ScreeningStats,
 ) {
-    let items = group.items.clone();
     let before = group.users.len();
     group.users.retain(|&u| {
-        items
-            .iter()
-            .any(|&v| g.clicks(u, v).is_some_and(|c| c >= params.t_click))
+        g.user_neighbors(u)
+            .any(|(v, c)| c >= params.t_click && slots.get(v).is_some())
     });
     stats.users_removed += before - group.users.len();
 }
@@ -361,26 +420,22 @@ mod tests {
         // A user whose only heavy clicks are on the hot item is a fan, not a
         // worker.
         let g = scenario();
-        let p = params();
-        let hot: Vec<bool> = g
-            .all_item_total_clicks()
-            .into_iter()
-            .map(|t| t >= p.t_hot)
-            .collect();
-        assert!(!user_is_suspicious(
-            &g,
-            &hot,
-            UserId(3),
-            &[ItemId(0), ItemId(1)],
-            &p
-        ));
-        assert!(user_is_suspicious(
-            &g,
-            &hot,
-            UserId(0),
-            &[ItemId(0), ItemId(1)],
-            &p
-        ));
+        let p = RicdParams {
+            screening: ScreeningMode::UserCheckOnly,
+            min_group_users: 1,
+            ..params()
+        };
+        let passes_user_check = |u: UserId| {
+            let grp = SuspiciousGroup {
+                users: vec![u],
+                items: vec![ItemId(0), ItemId(1)],
+                ridden_hot_items: vec![],
+            };
+            let (out, _) = screen_groups(&g, vec![grp], &p);
+            out.iter().any(|s| s.users.contains(&u))
+        };
+        assert!(!passes_user_check(UserId(3)));
+        assert!(passes_user_check(UserId(0)));
     }
 
     #[test]
