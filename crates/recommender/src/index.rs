@@ -9,8 +9,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// Built the way a production pipeline would: for each anchor item, wedge
 /// enumeration over its clickers accumulates co-click counts `Cᵢ`, scores
-/// are `Cᵢ / Σⱼ Cⱼ` (Eq 1), and only the top `n_per_item` survive. Anchors
-/// are processed in parallel across the worker pool.
+/// are `Cᵢ / Σⱼ Cⱼ` (Eq 1), and only the top `n_per_item` survive.
+///
+/// Cost: O(wedges) for the whole index. Each worker owns one dense
+/// `O(|items|)` count array, reset after every anchor by zeroing only the
+/// slots that anchor touched, so no anchor pays for hashing or for items
+/// it never reached. The top `n_per_item` are picked by selection and only
+/// those survivors are sorted, instead of sorting every co-clicked item.
+/// Workers claim chunks of anchors from the pool's worklist.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct I2iIndex {
     /// `lists[anchor] = [(related item, score)]`, descending score.
@@ -20,29 +26,43 @@ pub struct I2iIndex {
 impl I2iIndex {
     /// Builds the index with `n_per_item` entries per anchor.
     pub fn build(g: &BipartiteGraph, n_per_item: usize, pool: &WorkerPool) -> Self {
-        let lists = pool.map_vertices(g.num_items(), |anchor| {
-            build_list(g, ItemId(anchor as u32), n_per_item, &[])
-        });
-        Self { lists }
+        Self::build_cleaned(g, n_per_item, pool, &[])
     }
 
-    /// Builds the **cleaned** index: wedges through `excluded_users` (a
-    /// sorted slice, typically a detection result's suspicious users) are
-    /// skipped, so the co-clicks crowd workers forged never enter any
-    /// anchor's list. This is the serving path that subtracts a detected
-    /// attack from the recommender — the targets fall back to whatever
-    /// organic co-click support they actually have.
+    /// Builds the **cleaned** index: wedges through `excluded_users`
+    /// (typically a detection result's suspicious users, in any order;
+    /// ids the graph does not have are ignored) are skipped, so the
+    /// co-clicks crowd workers forged never enter any anchor's list. This
+    /// is the serving path that subtracts a detected attack from the
+    /// recommender — the targets fall back to whatever organic co-click
+    /// support they actually have.
     pub fn build_cleaned(
         g: &BipartiteGraph,
         n_per_item: usize,
         pool: &WorkerPool,
         excluded_users: &[UserId],
     ) -> Self {
-        debug_assert!(excluded_users.windows(2).all(|w| w[0] <= w[1]));
-        let lists = pool.map_vertices(g.num_items(), |anchor| {
-            build_list(g, ItemId(anchor as u32), n_per_item, excluded_users)
-        });
-        Self { lists }
+        let mut excluded = vec![false; g.num_users()];
+        for u in excluded_users {
+            if let Some(slot) = excluded.get_mut(u.index()) {
+                *slot = true;
+            }
+        }
+        // One scratch per worker; a retried chunk gets a fresh one.
+        let anchors: Vec<u32> = (0..g.num_items() as u32).collect();
+        let per_chunk = pool.run_worklist(
+            &anchors,
+            || CoClicks::new(g.num_items()),
+            |acc, chunk| {
+                chunk
+                    .iter()
+                    .map(|&a| acc.top_n(g, ItemId(a), n_per_item, &excluded))
+                    .collect::<Vec<_>>()
+            },
+        );
+        Self {
+            lists: per_chunk.into_iter().flatten().collect(),
+        }
     }
 
     /// The recommendation list for an anchor item (empty if the anchor has
@@ -76,35 +96,73 @@ impl I2iIndex {
     }
 }
 
-fn build_list(
-    g: &BipartiteGraph,
-    anchor: ItemId,
-    n: usize,
-    excluded_users: &[UserId],
-) -> Vec<(ItemId, f32)> {
-    // Wedge accumulation of co-click counts.
-    let mut counts: std::collections::HashMap<ItemId, u64> = std::collections::HashMap::new();
-    for (u, _) in g.item_neighbors(anchor) {
-        if excluded_users.binary_search(&u).is_ok() {
-            continue;
+/// One worker's co-click scratch. `counts[v]` is the current anchor's
+/// co-click count with item `v`; graphs carry no zero-click edges, so a
+/// zero count means "not reached yet" and `touched` lists exactly the
+/// nonzero slots. `ranked` is reused to score and select each anchor's list.
+struct CoClicks {
+    counts: Vec<u64>,
+    touched: Vec<u32>,
+    ranked: Vec<(ItemId, f32)>,
+}
+
+impl CoClicks {
+    fn new(num_items: usize) -> Self {
+        Self {
+            counts: vec![0; num_items],
+            touched: Vec::new(),
+            ranked: Vec::new(),
         }
-        for (v, c) in g.user_neighbors(u) {
-            if v != anchor {
-                *counts.entry(v).or_default() += c as u64;
+    }
+
+    /// `anchor`'s top-`n` list: score descending, then item id ascending.
+    /// Leaves `counts` all-zero and `touched` empty for the next anchor.
+    fn top_n(
+        &mut self,
+        g: &BipartiteGraph,
+        anchor: ItemId,
+        n: usize,
+        excluded: &[bool],
+    ) -> Vec<(ItemId, f32)> {
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut total = 0u64;
+        for (u, _) in g.item_neighbors(anchor) {
+            if excluded[u.index()] {
+                continue;
+            }
+            for (v, c) in g.user_neighbors(u) {
+                if v != anchor {
+                    let slot = &mut self.counts[v.index()];
+                    if *slot == 0 {
+                        self.touched.push(v.0);
+                    }
+                    *slot += c as u64;
+                    total += c as u64;
+                }
             }
         }
+        let counts = &mut self.counts;
+        self.ranked.clear();
+        self.ranked.extend(self.touched.drain(..).map(|v| {
+            let c = std::mem::take(&mut counts[v as usize]);
+            (ItemId(v), (c as f64 / total as f64) as f32)
+        }));
+        // Scores are compared as `f32`, not as counts: distinct counts can
+        // round to one score, and then the item id decides.
+        let by_score = |a: &(ItemId, f32), b: &(ItemId, f32)| {
+            b.1.partial_cmp(&a.1)
+                .expect("a touched item makes total > 0, so scores are finite")
+                .then(a.0.cmp(&b.0))
+        };
+        if self.ranked.len() > n {
+            self.ranked.select_nth_unstable_by(n - 1, by_score);
+            self.ranked.truncate(n);
+        }
+        self.ranked.sort_unstable_by(by_score);
+        self.ranked.clone()
     }
-    let total: u64 = counts.values().sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut scored: Vec<(ItemId, f32)> = counts
-        .into_iter()
-        .map(|(v, c)| (v, (c as f64 / total as f64) as f32))
-        .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    scored.truncate(n);
-    scored
 }
 
 #[cfg(test)]
@@ -203,6 +261,37 @@ mod tests {
         for v in 0..g.num_items() as u32 {
             assert_eq!(a.related(ItemId(v)), b.related(ItemId(v)));
         }
+    }
+
+    #[test]
+    fn excluded_ids_beyond_the_graph_are_ignored() {
+        let g = toy();
+        let pool = WorkerPool::new(2);
+        let plain = I2iIndex::build(&g, 10, &pool);
+        let far = I2iIndex::build_cleaned(&g, 10, &pool, &[UserId(3), UserId(u32::MAX)]);
+        for v in 0..g.num_items() as u32 {
+            assert_eq!(plain.related(ItemId(v)), far.related(ItemId(v)));
+        }
+    }
+
+    #[test]
+    fn zero_per_item_yields_empty_lists() {
+        let g = toy();
+        let idx = I2iIndex::build(&g, 0, &WorkerPool::new(2));
+        assert_eq!(idx.num_items(), g.num_items());
+        for v in 0..g.num_items() as u32 {
+            assert!(idx.related(ItemId(v)).is_empty());
+        }
+    }
+
+    #[test]
+    fn anchor_with_only_excluded_clickers_is_empty() {
+        // i2's only clicker is u1; excluding u1 leaves i2 with no wedges,
+        // while i0 keeps u0's co-click with i1.
+        let g = toy();
+        let idx = I2iIndex::build_cleaned(&g, 10, &WorkerPool::new(2), &[UserId(1)]);
+        assert!(idx.related(ItemId(2)).is_empty());
+        assert_eq!(idx.related(ItemId(0)), &[(ItemId(1), 1.0)]);
     }
 
     #[test]

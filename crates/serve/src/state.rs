@@ -127,6 +127,7 @@ pub(crate) struct ServeMetrics {
     pub view_flagged_items: Gauge,
     pub batch_nanos: Histogram,
     pub swap_nanos: Histogram,
+    pub index_build_nanos: Histogram,
 }
 
 impl ServeMetrics {
@@ -153,6 +154,8 @@ impl ServeMetrics {
             view_flagged_items: registry.gauge(&name("view_flagged_items")),
             batch_nanos: registry.histogram(&name("batch_nanos"), &DURATION_BUCKETS_NANOS),
             swap_nanos: registry.histogram(&name("swap_nanos"), &DURATION_BUCKETS_NANOS),
+            index_build_nanos: registry
+                .histogram(&name("index_build_nanos"), &DURATION_BUCKETS_NANOS),
         }
     }
 }
@@ -323,8 +326,12 @@ impl ServeState {
         let view = RiskView::from_result(self.epoch, &result);
         let graph = self.detector.graph().clone();
         let flagged = view.flagged_users();
+        let t_index = self.registry.clock().now();
         let clean_index =
             I2iIndex::build_cleaned(&graph, self.cfg.recommend_per_anchor, &self.pool, &flagged);
+        self.metrics
+            .index_build_nanos
+            .observe_duration(self.registry.clock().now().saturating_sub(t_index));
         self.metrics.epoch.set(self.epoch as i64);
         self.metrics.view_groups.set(view.groups().len() as i64);
         self.metrics
